@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race cover bench bench-json bench-guard bench-fleet figures verify smoke clean
+.PHONY: all build vet lint test test-race fuzz cover bench bench-json bench-guard bench-fleet figures verify smoke clean
 
 all: build lint test
 
@@ -24,6 +24,14 @@ test:
 
 test-race:
 	$(GO) test -race ./internal/...
+
+# Native fuzzing of the parsers that read outside input. The committed
+# seed corpora (testdata/fuzz) already run under plain `go test`; this
+# explores beyond them for FUZZTIME. A crasher the fuzzer writes under
+# testdata/fuzz becomes a committed regression entry alongside its fix.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzParseSchemata -fuzztime $(FUZZTIME) ./internal/resctrl/
 
 cover:
 	$(GO) test -cover ./internal/... .

@@ -9,10 +9,11 @@
 //	benchguard -base BENCH_2026-08-05.json -cur /tmp/fresh.json \
 //	    -bench BenchmarkFig12,BenchmarkMachineSolve,BenchmarkFleet256
 //
-// A benchmark missing from the current snapshot fails the guard (the
-// suite lost coverage); one missing from the baseline only warns (the
-// baseline predates the benchmark and the next bench-json run records
-// it). Three metrics are compared against the same budget: ns/op, and —
+// A benchmark missing from either snapshot fails the guard: missing from
+// the current one, the suite lost coverage; missing from the baseline,
+// there is nothing to compare against, and a run that merely warned
+// would let its number become the next baseline unchecked. Three
+// metrics are compared against the same budget: ns/op, and —
 // when both snapshots carry them (-benchmem) — allocs/op and B/op, so
 // the fleet's zero-alloc steady state cannot silently rot behind a
 // timing that still squeaks by. A zero baseline for either memory
@@ -170,7 +171,9 @@ func compare(w io.Writer, base, cur map[string]record, names []string, maxRegres
 		}
 		b, haveBase := base[name]
 		if !haveBase {
-			fmt.Fprintf(w, "%-28s %14s %14.0f %9s  warn: missing from baseline\n", name, "-", c.NsPerOp, "-")
+			fmt.Fprintf(w, "%-28s %14s %14.0f %9s  FAIL: missing from baseline\n", name, "-", c.NsPerOp, "-")
+			offenders = append(offenders, finding(name, "missing from baseline"))
+			ok = false
 			continue
 		}
 		delta := 0.0

@@ -79,6 +79,30 @@ func TestCompareMissingFromCurrentFails(t *testing.T) {
 	}
 }
 
+// TestCompareMissingFromBaselineFails: a guarded benchmark the baseline
+// lacks has nothing to be compared against, so it fails rather than
+// letting its first number slip into the next baseline unchecked.
+func TestCompareMissingFromBaselineFails(t *testing.T) {
+	base := mustParse(t, baseDoc)
+	cur := mustParse(t, `[
+      {"name": "BenchmarkFig12", "ns_per_op": 100000000},
+      {"name": "BenchmarkMachineSolve", "ns_per_op": 7400},
+      {"name": "BenchmarkFleet256", "ns_per_op": 30000000}
+    ]`)
+	var out strings.Builder
+	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFig12", "BenchmarkMachineSolve", "BenchmarkFleet256"}, 0.20)
+	if ok {
+		t.Fatalf("benchmark missing from the baseline passed the guard:\n%s", out.String())
+	}
+	if len(offenders) != 1 || offenders[0].File != "BenchmarkFleet256" ||
+		!strings.Contains(offenders[0].String(), "missing from baseline") {
+		t.Fatalf("offenders = %v, want one missing-from-baseline line for BenchmarkFleet256", offenders)
+	}
+	if !strings.Contains(out.String(), "FAIL: missing from baseline") {
+		t.Fatalf("no FAIL marker in output:\n%s", out.String())
+	}
+}
+
 func TestParseKeepsFastestOfRepeatedRuns(t *testing.T) {
 	recs := mustParse(t, `[
       {"name": "BenchmarkFig12", "ns_per_op": 120000000},
@@ -269,25 +293,5 @@ func TestCompareBytesWithinBudgetPasses(t *testing.T) {
 	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFleet256"}, 0.20)
 	if !ok {
 		t.Fatalf("+10%% B/op flagged with a 20%% budget:\n%s\noffenders: %v", out.String(), offenders)
-	}
-}
-
-func TestCompareMissingFromBaselineWarns(t *testing.T) {
-	base := mustParse(t, baseDoc)
-	cur := mustParse(t, `[
-      {"name": "BenchmarkFig12", "ns_per_op": 100000000},
-      {"name": "BenchmarkMachineSolve", "ns_per_op": 7400},
-      {"name": "BenchmarkFleet256", "ns_per_op": 30000000}
-    ]`)
-	var out strings.Builder
-	offenders, ok := compare(&out, base, cur, []string{"BenchmarkFig12", "BenchmarkMachineSolve", "BenchmarkFleet256"}, 0.20)
-	if !ok {
-		t.Fatalf("benchmark new in the current run failed the guard:\n%s", out.String())
-	}
-	if len(offenders) != 0 {
-		t.Fatalf("baseline warning counted as an offender: %v", offenders)
-	}
-	if !strings.Contains(out.String(), "warn: missing from baseline") {
-		t.Fatalf("no baseline warning in output:\n%s", out.String())
 	}
 }

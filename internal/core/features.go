@@ -30,19 +30,6 @@ type Features struct {
 	// (see the exactness caveat on scoreMemo); seeded runs stay fully
 	// reproducible either way.
 	ScoreMemo bool
-	// StreamingFairness: maintain Equation 2 incrementally with
-	// fairness.Tracker (O(changed slowdowns) per period) instead of the
-	// O(n) batch recompute. The streaming value matches the batch one
-	// within the tracker's documented 5e-8 bound but is NOT bit-identical
-	// — rounding is rearranged — and even an ulp can flip the manager's
-	// exact best-state comparison, so this stays OFF by default here:
-	// every published figure uses the batch arm. Fleet runs
-	// (internal/fleet) opt in by default — at their scale the per-period
-	// scoring cost dominates, and the golden-trajectory migration test
-	// (fleet's TestFleetStreamingMigration) pins that the switch leaves
-	// their control trajectories unchanged; fleet.Config.BatchFairness
-	// opts a run back out (DESIGN.md §13–14).
-	StreamingFairness bool
 }
 
 // DefaultFeatures enables every mechanism.

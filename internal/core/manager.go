@@ -176,16 +176,6 @@ type Manager struct {
 	scores scoreMemo
 	memoOK bool
 
-	// Streaming-fairness state (Features.StreamingFairness): tracker
-	// maintains Equation 2 incrementally, prevSlow remembers the
-	// slowdowns the tracker currently holds so the next period only
-	// pushes the ones that moved, and trackerLive says both are in sync
-	// with the current app set. resetApps invalidates it; see
-	// streamUnfairness.
-	tracker     fairness.Tracker
-	prevSlow    []float64
-	trackerLive bool
-
 	// anchoredAt/anchorValid record that measurePeriod's closing pass
 	// anchored every application's sampling window at that virtual time;
 	// while the target clock still reads anchoredAt, the next period's
@@ -344,7 +334,6 @@ func (m *Manager) SetClock(now func() time.Time) {
 //
 //copart:noalloc
 func (m *Manager) resetApps(names []string) {
-	m.trackerLive = false // app set changed: streaming fairness must reseed
 	n := len(names)
 	if cap(m.apps) < n {
 		apps := make([]*appRT, n) //copart:allocok first growth to the consolidation size; steady state reuses slots
@@ -887,7 +876,7 @@ func (m *Manager) ExploreStep() (bool, error) {
 		}
 	}
 
-	unf, err := m.unfairness(slowdowns)
+	unf, err := fairness.Unfairness(slowdowns)
 	if err != nil {
 		return false, err
 	}
@@ -1046,7 +1035,7 @@ func (m *Manager) IdleStep() (bool, error) {
 			a.idleIPS = rates[i].IPS // first idle period sets the baseline
 		}
 	}
-	unf, err := m.unfairness(slowdowns)
+	unf, err := fairness.Unfairness(slowdowns)
 	if err != nil {
 		return false, err
 	}

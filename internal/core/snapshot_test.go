@@ -245,3 +245,64 @@ func TestSnapshotWeightsSurvive(t *testing.T) {
 		t.Fatalf("restored default weight = %v, want 1", w)
 	}
 }
+
+// TestSnapshotLegacyFeatureKey: version-1 snapshots written before the
+// streaming fairness arm was removed carry that feature's key in their
+// features object. Such a snapshot must still parse, restore, and
+// resume bit-identically to an uninterrupted run: the removal changed
+// neither the wire format nor SnapshotVersion.
+func TestSnapshotLegacyFeatureKey(t *testing.T) {
+	const (
+		t1 = 30 * time.Second
+		t2 = 40 * time.Second
+	)
+	ref, _ := snapSetup(t, 5, 0)
+	if err := ref.Run(t1); err != nil {
+		t.Fatal(err)
+	}
+	var refReports []PeriodReport
+	collect(ref, &refReports)
+	if err := ref.Run(t2); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr, _ := snapSetup(t, 5, 0)
+	if err := mgr.Run(t1); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := mgr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if SnapshotVersion != 1 {
+		t.Fatalf("SnapshotVersion = %d, want 1", SnapshotVersion)
+	}
+	const anchor = `"features": {`
+	if n := strings.Count(string(data), anchor); n != 1 {
+		t.Fatalf("snapshot has %d features objects, want 1", n)
+	}
+	for _, legacy := range []string{`"StreamingFairness": false,`, `"StreamingFairness": true,`} {
+		old := strings.Replace(string(data), anchor, anchor+"\n  "+legacy, 1)
+		parsed, err := ParseSnapshot([]byte(old))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", legacy, err)
+		}
+		restored, _, err := RestoreSnapshot(parsed)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", legacy, err)
+		}
+		var resumed []PeriodReport
+		collect(restored, &resumed)
+		if err := restored.Run(t2); err != nil {
+			t.Fatalf("%s: resume: %v", legacy, err)
+		}
+		if len(refReports) == 0 || !ReportsEqual(refReports, resumed) {
+			t.Errorf("%s: restored run diverged from uninterrupted run (%d vs %d reports)",
+				legacy, len(refReports), len(resumed))
+		}
+	}
+}

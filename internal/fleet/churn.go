@@ -50,11 +50,10 @@ type ChurnConfig struct {
 	Machine machine.Config
 	// NoPool disables the runtime pool (see Config.NoPool).
 	NoPool bool
-	// Block, LatSamples, and BatchFairness pass through to the fleet
-	// engine (see the Config fields of the same names).
-	Block         int
-	LatSamples    int
-	BatchFairness bool
+	// Block and LatSamples pass through to the fleet engine (see the
+	// Config fields of the same names).
+	Block      int
+	LatSamples int
 }
 
 // ChurnStats summarizes the virtual schedule (deterministic).
@@ -240,7 +239,6 @@ func RunChurnInto(cfg ChurnConfig, res *Result) error {
 	ncfg := Config{
 		Nodes: cfg.Arrivals, Periods: 1, Seed: cfg.Seed, Machine: cfg.Machine,
 		NoPool: cfg.NoPool, Block: cfg.Block, LatSamples: cfg.LatSamples,
-		BatchFairness: cfg.BatchFairness,
 	}
 	if err := runFleet(ncfg, true, res); err != nil {
 		return err

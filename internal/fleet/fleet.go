@@ -41,13 +41,8 @@
 // Config.NoPool opts a run out (fresh substrates per node through the
 // same code path) for A/B verification.
 //
-// Fleet managers score fairness with the streaming Equation-2 tracker
-// (core.Features.StreamingFairness): at fleet scale the per-period
-// batch recompute is measurable, and the golden-trajectory migration
-// test (TestFleetStreamingMigration) pins that the fleet's control
-// trajectories are unchanged by the switch. Config.BatchFairness opts
-// a run back into the batch arm — the published-figures reference —
-// for A/B verification.
+// Fleet managers run with core.DefaultFeatures, so they score Equation 2
+// with fairness.Unfairness exactly like every published figure.
 package fleet
 
 import (
@@ -100,12 +95,6 @@ type Config struct {
 	// whole run uniformly regardless of Nodes×Periods (see stripe.go
 	// for the exact semantics).
 	LatSamples int
-	// BatchFairness opts the fleet's managers back into the batch
-	// Equation-2 recompute. Fleet runs default to the streaming tracker
-	// (core.Features.StreamingFairness), which is O(1) per period
-	// instead of O(apps); the migration is pinned by
-	// TestFleetStreamingMigration, and this switch is its A/B arm.
-	BatchFairness bool
 }
 
 // maxMixApps caps the per-node consolidation size (the paper evaluates
@@ -656,13 +645,6 @@ func runNode(cfg Config, node, periods int, ways, mba []int, carry *nodeRuntime,
 		return NodeResult{}, nil, err
 	}
 	mgr := rt.mgr
-	// Fleet managers score fairness with the streaming tracker unless
-	// the run opted back into the batch arm (see Config.BatchFairness).
-	// Assigned on both the fresh and the reused path, before profiling,
-	// so pooled runtimes cannot leak the previous run's arm.
-	feats := core.DefaultFeatures()
-	feats.StreamingFairness = !cfg.BatchFairness
-	mgr.Features = feats
 
 	res := NodeResult{Node: node, Mix: kind.String(), Apps: nApps, Lifetime: periods}
 	// Memoized profiling: a poolable, noise-free node's whole profiling
